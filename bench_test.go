@@ -703,60 +703,6 @@ func BenchmarkSubmitBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedQueue compares admission-queue sharding levels under the
-// same closed feedback loop as BenchmarkFleetThroughput: shards=1 is the
-// pre-sharding single-channel queue, shards=4 spreads the same capacity over
-// four channels keyed by tenant so producers and the work-stealing consumers
-// contend on disjoint locks. Eight tenants keep every shard populated.
-func BenchmarkShardedQueue(b *testing.B) {
-	apps := []*deep.App{deep.VideoProcessing(), deep.TextProcessing()}
-	tenants := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			f := deep.NewFleet(deep.FleetConfig{
-				Workers:     4,
-				QueueDepth:  256,
-				QueueShards: shards,
-				CacheSize:   1024,
-			})
-			defer f.Close()
-			b.ResetTimer()
-			pending := make([]<-chan *deep.FleetResponse, 0, b.N)
-			for i := 0; i < b.N; i++ {
-				req := deep.FleetRequest{
-					Tenant: tenants[i%len(tenants)],
-					App:    apps[i%len(apps)],
-					Seed:   int64(i),
-				}
-				for {
-					ch, err := f.Submit(req)
-					if err == nil {
-						pending = append(pending, ch)
-						break
-					}
-					if !errors.Is(err, deep.ErrFleetQueueFull) {
-						b.Fatal(err)
-					}
-					resp := <-pending[0]
-					if resp.Err != nil {
-						b.Fatal(resp.Err)
-					}
-					resp.Release()
-					pending = pending[1:]
-				}
-			}
-			for _, ch := range pending {
-				resp := <-ch
-				if resp.Err != nil {
-					b.Fatal(resp.Err)
-				}
-				resp.Release()
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-		})
-	}
-}
-
 // BenchmarkStageRecord isolates the fleet's per-request instrumentation
 // cost: folding a full stage trace into the six per-stage histograms, the
 // end-to-end latency observation, and the slow ring's fast path — exactly

@@ -51,7 +51,6 @@ func main() {
 	adminAddr := flag.String("admin-addr", "", "admin listener for /v1/churn, /v1/drain, and /debug/* — keep it loopback-only (empty disables)")
 	workers := flag.Int("workers", 4, "scheduler/simulator worker pool size")
 	queue := flag.Int("queue", 256, "admission queue depth")
-	queueShards := flag.Int("queue-shards", 0, "admission queue shards (0 = min(workers, GOMAXPROCS))")
 	cacheSize := flag.Int("cache", 1024, "placement cache entries (0 disables)")
 	scheduler := flag.String("scheduler", "deep", "scheduling method: deep|exclusive-hub|exclusive-regional|greedy-energy|min-ct|round-robin|random")
 	clusterSize := flag.Int("cluster", 1, "testbed device pairs (1 = the paper's two-device testbed)")
@@ -87,7 +86,6 @@ func main() {
 	f := fleet.New(fleet.Config{
 		Workers:      *workers,
 		QueueDepth:   *queue,
-		QueueShards:  *queueShards,
 		CacheSize:    *cacheSize,
 		NewScheduler: newScheduler,
 		NewCluster:   func() *sim.Cluster { return workload.ScaledTestbed(*clusterSize) },

@@ -15,18 +15,19 @@ import (
 	"deep/internal/workload"
 )
 
-// TestQueueLenAggregatesShards pins the sharded admission bookkeeping the
-// serving layer's Retry-After hints feed on: QueueLen sums waiters across
-// all shards, QueueCap reports the aggregate bound, and a submit beyond it
-// rejects — deterministically, because the only worker is stalled in
-// cluster construction so nothing drains while the shards are stuffed.
-func TestQueueLenAggregatesShards(t *testing.T) {
+// TestQueueLenAndCap pins the admission bookkeeping the serving layer's
+// Retry-After hints feed on: QueueCap is exactly QueueDepth (odd, so no
+// rounding can hide), QueueLen counts every waiter, and a submit beyond the
+// depth rejects — deterministically, because the only worker is stalled in
+// cluster construction so nothing drains while the queue is stuffed.
+func TestQueueLenAndCap(t *testing.T) {
 	block := make(chan struct{})
 	stalled := func() *sim.Cluster {
 		<-block
 		return workload.Testbed()
 	}
-	f := New(Config{Workers: 1, QueueShards: 2, QueueDepth: 4, NewCluster: stalled})
+	const depth = 5
+	f := New(Config{Workers: 1, QueueDepth: depth, NewCluster: stalled})
 	unblocked := false
 	defer func() {
 		if !unblocked {
@@ -35,21 +36,16 @@ func TestQueueLenAggregatesShards(t *testing.T) {
 		f.Close()
 	}()
 
-	if f.QueueShards() != 2 {
-		t.Fatalf("QueueShards() = %d, want 2", f.QueueShards())
-	}
-	if f.QueueCap() != 4 {
-		t.Fatalf("QueueCap() = %d, want 4 (2 shards x 2 deep)", f.QueueCap())
+	if f.QueueCap() != depth {
+		t.Fatalf("QueueCap() = %d, want %d", f.QueueCap(), depth)
 	}
 
-	// One tenant/app pair hashes to one home shard; spillover must still
-	// fill the sibling shard, so all four aggregate slots accept.
 	app := workload.TextProcessing()
 	var pending []<-chan *Response
-	for i := 0; i < 4; i++ {
+	for i := 0; i < depth; i++ {
 		ch, err := f.Submit(Request{Tenant: "solo", App: app, Seed: int64(i)})
 		if err != nil {
-			t.Fatalf("submit %d: %v (spillover should fill sibling shards)", i, err)
+			t.Fatalf("submit %d: %v", i, err)
 		}
 		pending = append(pending, ch)
 		if got := f.QueueLen(); got != i+1 {
@@ -57,7 +53,7 @@ func TestQueueLenAggregatesShards(t *testing.T) {
 		}
 	}
 	if _, err := f.Submit(Request{Tenant: "solo", App: app, Seed: 99}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("5th submit: %v, want ErrQueueFull", err)
+		t.Fatalf("submit past depth: %v, want ErrQueueFull", err)
 	}
 
 	// Un-stall the worker; every accepted request must still drain.
@@ -100,7 +96,7 @@ func (s *barrierSched) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placeme
 	select {
 	case <-s.release:
 	case <-time.After(10 * time.Second):
-		return nil, fmt.Errorf("barrier: only %d of %d schedulers arrived (no work stealing?)", s.arrived, s.need)
+		return nil, fmt.Errorf("barrier: only %d of %d schedulers arrived (burst did not fan out?)", s.arrived, s.need)
 	}
 	p := make(sim.Placement, len(app.Microservices))
 	for _, ms := range app.Microservices {
@@ -109,17 +105,16 @@ func (s *barrierSched) Schedule(app *dag.App, cluster *sim.Cluster) (sim.Placeme
 	return p, nil
 }
 
-// TestWorkStealing pins the sharded queue's liveness property: a
-// single-tenant burst lands on one home shard, yet all workers — each
-// draining its own home shard first — must steal from the loaded sibling
-// and run the burst concurrently. The barrier scheduler only completes if
-// four Schedule calls are simultaneously in flight; without stealing the
-// three non-home workers would idle and the barrier would time out.
-func TestWorkStealing(t *testing.T) {
+// TestBurstFansOutToAllWorkers pins the admission queue's liveness property:
+// every idle worker takes the next waiting job, so a single tenant's burst
+// of one app runs on the whole pool at once. The barrier scheduler only
+// completes if four Schedule calls are simultaneously in flight; a queue
+// that pinned one tenant to one worker would leave three idle and the
+// barrier would time out.
+func TestBurstFansOutToAllWorkers(t *testing.T) {
 	bar := &barrierSched{need: 4, release: make(chan struct{})}
 	f := testFleet(t, Config{
 		Workers:      4,
-		QueueShards:  4,
 		QueueDepth:   16,
 		CacheSize:    -1, // every request must reach the scheduler
 		NewScheduler: func() sched.Scheduler { return bar },
@@ -142,7 +137,7 @@ func TestWorkStealing(t *testing.T) {
 			}
 			resp.Release()
 		case <-time.After(15 * time.Second):
-			t.Fatalf("request %d never completed (work stealing broken)", i)
+			t.Fatalf("request %d never completed (burst did not fan out)", i)
 		}
 	}
 }
@@ -180,7 +175,7 @@ func TestSubmitBatchOrderAndIndex(t *testing.T) {
 }
 
 // TestSubmitBatchQueueFull pins single-slot admission with per-item
-// accounting: each accepted batch holds one shard slot however many items
+// accounting: each accepted batch holds one queue slot however many items
 // it carries, QueueLen counts items, and a rejected batch counts every
 // item as rejected while consuming nothing.
 func TestSubmitBatchQueueFull(t *testing.T) {
@@ -189,7 +184,7 @@ func TestSubmitBatchQueueFull(t *testing.T) {
 		<-block
 		return workload.Testbed()
 	}
-	f := New(Config{Workers: 1, QueueShards: 1, QueueDepth: 2, NewCluster: stalled})
+	f := New(Config{Workers: 1, QueueDepth: 2, NewCluster: stalled})
 	unblocked := false
 	defer func() {
 		if !unblocked {

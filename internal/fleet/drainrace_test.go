@@ -13,10 +13,12 @@ import (
 )
 
 // TestDrainRaceStress interleaves the three things a serving fleet does at
-// once in production — admission (SubmitCtx and TrySubmitCtx), churn epochs,
-// and drain (Close) — under the race detector, and pins the drain contract:
+// once in production — admission (SubmitCtx, TrySubmitCtx, and SubmitBatch),
+// churn epochs, and drain (Close) — under the race detector, and pins the
+// drain contract:
 //
 //   - every accepted request's channel delivers a response (never hangs),
+//     and every accepted batch's channel exactly one per item,
 //   - submits that lose the race against Close get ErrClosed (or
 //     ErrQueueFull), never a nil channel with nil error,
 //   - after Close returns, the counters reconcile: everything submitted was
@@ -30,10 +32,17 @@ func TestDrainRaceStress(t *testing.T) {
 	})
 	apps := []*dag.App{workload.VideoProcessing(), workload.TextProcessing()}
 
+	// pending is one accepted admission: its channel and how many responses
+	// it owes (1, or a batch's item count).
+	type pending struct {
+		ch <-chan *Response
+		n  int
+	}
 	var (
 		mu       sync.Mutex
-		pending  []<-chan *Response
+		accepts  []pending
 		accepted atomic.Int64
+		batches  atomic.Int64
 		closedN  atomic.Int64
 		stop     = make(chan struct{})
 	)
@@ -59,10 +68,20 @@ func TestDrainRaceStress(t *testing.T) {
 					ch  <-chan *Response
 					err error
 				)
-				if i%2 == 0 {
+				n := 1
+				switch i % 3 {
+				case 0:
 					ch, err = f.SubmitCtx(ctx, req)
-				} else {
+				case 1:
 					ch, err = f.TrySubmitCtx(ctx, req)
+				default:
+					n = 2 + i%2
+					batch := make([]Request, n)
+					for k := range batch {
+						batch[k] = req
+						batch[k].App = apps[(s+i+k)%len(apps)]
+					}
+					ch, err = f.SubmitBatch(ctx, batch)
 				}
 				switch {
 				case err == nil:
@@ -70,9 +89,12 @@ func TestDrainRaceStress(t *testing.T) {
 						t.Error("accepted submit returned nil channel")
 						return
 					}
-					accepted.Add(1)
+					accepted.Add(int64(n))
+					if n > 1 {
+						batches.Add(1)
+					}
 					mu.Lock()
-					pending = append(pending, ch)
+					accepts = append(accepts, pending{ch, n})
 					mu.Unlock()
 				case errors.Is(err, ErrClosed):
 					closedN.Add(1)
@@ -120,38 +142,53 @@ func TestDrainRaceStress(t *testing.T) {
 	wg.Wait()
 
 	// Late submits against the closed fleet must deterministically report
-	// ErrClosed on both entry points.
+	// ErrClosed on every entry point.
 	if _, err := f.SubmitCtx(context.Background(), Request{App: apps[0]}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SubmitCtx after Close: %v, want ErrClosed", err)
 	}
 	if _, err := f.TrySubmitCtx(context.Background(), Request{App: apps[0]}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("TrySubmitCtx after Close: %v, want ErrClosed", err)
 	}
+	if _, err := f.SubmitBatch(context.Background(), []Request{{App: apps[0]}, {App: apps[1]}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SubmitBatch after Close: %v, want ErrClosed", err)
+	}
 
 	// Every accepted request must have been served: Close drains the queue
 	// before stopping the workers, so each channel delivers without blocking
-	// beyond a generous guard.
+	// beyond a generous guard — and, with the workers gone, owes nothing
+	// more afterwards.
 	guard := time.After(10 * time.Second)
-	done, failed := 0, 0
-	for _, ch := range pending {
+	done, failed, owed := 0, 0, 0
+	for _, p := range accepts {
+		owed += p.n
+		for k := 0; k < p.n; k++ {
+			select {
+			case resp := <-p.ch:
+				if resp == nil {
+					t.Fatal("accepted request delivered nil response")
+				}
+				if resp.Index != k {
+					t.Fatalf("response %d of %d carries index %d", k, p.n, resp.Index)
+				}
+				if resp.Err != nil {
+					failed++
+				} else {
+					done++
+				}
+			case <-guard:
+				t.Fatalf("accepted request hung: %d/%d drained", done+failed, owed)
+			}
+		}
 		select {
-		case resp := <-ch:
-			if resp == nil {
-				t.Fatal("accepted request delivered nil response")
-			}
-			if resp.Err != nil {
-				failed++
-			} else {
-				done++
-			}
-		case <-guard:
-			t.Fatalf("accepted request hung: %d/%d drained", done+failed, len(pending))
+		case <-p.ch:
+			t.Fatalf("admission of %d delivered an extra response", p.n)
+		default:
 		}
 	}
 
 	st := f.Stats()
-	if got := int64(len(pending)); st.Submitted != got || accepted.Load() != got {
-		t.Errorf("submitted %d, accepted %d, collected %d channels", st.Submitted, accepted.Load(), got)
+	if got := int64(owed); st.Submitted != got || accepted.Load() != got {
+		t.Errorf("submitted %d, accepted %d, collected %d responses", st.Submitted, accepted.Load(), got)
 	}
 	if st.Completed+st.Failed != st.Submitted {
 		t.Errorf("completed %d + failed %d != submitted %d", st.Completed, st.Failed, st.Submitted)
@@ -165,6 +202,6 @@ func TestDrainRaceStress(t *testing.T) {
 	if accepted.Load() == 0 {
 		t.Fatal("stress run accepted nothing; test is vacuous")
 	}
-	t.Logf("accepted %d (%d ok, %d failed), %d submitters saw ErrClosed, churn epoch %d",
-		accepted.Load(), done, failed, closedN.Load(), st.Churn.Epoch)
+	t.Logf("accepted %d (%d ok, %d failed; %d batches), %d submitters saw ErrClosed, churn epoch %d",
+		accepted.Load(), done, failed, batches.Load(), closedN.Load(), st.Churn.Epoch)
 }

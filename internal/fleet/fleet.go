@@ -15,8 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,21 +49,12 @@ type Config struct {
 	// owns a private scheduler instance and a private cluster, so workers
 	// never contend on scheduler state or device layer caches.
 	Workers int
-	// QueueDepth bounds the admission queue (default 64). A Submit against
-	// a full queue is rejected with ErrQueueFull and counted. The depth is
-	// split across QueueShards bounded queues (rounding the per-shard
-	// capacity up, so the aggregate QueueCap may slightly exceed this).
+	// QueueDepth is the admission queue's capacity in slots (default 64),
+	// which QueueCap reports exactly. A request takes one slot and a
+	// SubmitBatch batch takes one for all its items. Submit, TrySubmitCtx,
+	// and SubmitBatch reject against a full queue with ErrQueueFull (counted
+	// as rejections); SubmitCtx waits for a slot instead.
 	QueueDepth int
-	// QueueShards is the number of independent admission queues (default
-	// min(Workers, GOMAXPROCS)). Submitters pick a shard by hashing
-	// (tenant, app name) — the same keys that dominate the request
-	// fingerprint — so a hot tenant's requests land on one worker's home
-	// shard and keep its digester, pass pool, and the 8-way model cache
-	// shard warm. Workers drain their home shard first and work-steal from
-	// siblings, so skewed tenant traffic can never strand idle workers. On
-	// a single-core box the default collapses to one shard — exactly the
-	// pre-sharding queue.
-	QueueShards int
 	// NewScheduler constructs one scheduler per worker (default
 	// sched.NewDEEP). Any method from sched.All works.
 	NewScheduler func() sched.Scheduler
@@ -118,15 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.QueueShards <= 0 {
-		c.QueueShards = c.Workers
-		if p := runtime.GOMAXPROCS(0); p < c.QueueShards {
-			c.QueueShards = p
-		}
-		if c.QueueShards < 1 {
-			c.QueueShards = 1
-		}
 	}
 	if c.NewScheduler == nil {
 		c.NewScheduler = func() sched.Scheduler { return sched.NewDEEP() }
@@ -266,14 +246,11 @@ type Fleet struct {
 	cfg    Config
 	cache  *placementCache
 	models *sharedModelCache
-	// queues are the sharded bounded admission queues (Config.QueueShards).
-	// Submitters enqueue on their hash-picked home shard and spill over to
-	// siblings when it is full; workers drain home-first and steal. queued
-	// tracks the aggregate backlog in requests (a batch counts each item),
-	// which is what serving layers size Retry-After hints from.
-	queues []chan *job
+	// queue is the bounded admission queue every worker drains. queued
+	// tracks its backlog in requests (a batch counts each item), which is
+	// what serving layers size Retry-After hints from.
+	queue  chan *job
 	queued atomic.Int64
-	qcap   int
 	// jobPool recycles the whole per-request chain — job, Response, Result
 	// buffers, placement-view scratch, and the cap-1 done channel — via the
 	// Response.Release contract. A job re-enters the pool only after its
@@ -294,12 +271,8 @@ type Fleet struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// labels interns per-tenant metric names, capped at tenantLabelCap
-	// entries; past the cap new tenants share overflowLabels (see
-	// labelsFor).
-	labels         sync.Map
-	labelCount     atomic.Int64
-	overflowLabels *tenantLabels
+	// labels interns per-tenant metric names, bounded by obs.TenantCap.
+	labels *obs.TenantSet[*tenantLabels]
 
 	submitted atomic.Int64
 	rejected  atomic.Int64
@@ -339,9 +312,9 @@ type job struct {
 	req      Request
 	enqueued time.Time
 	done     chan *Response
-	// ctx is the submitter's context when it came through SubmitCtx (nil
-	// from plain Submit): a request whose submitter has already given up is
-	// answered with its context error instead of being scheduled.
+	// ctx is the submitter's context (nil from plain Submit): a request
+	// whose submitter has already given up is answered with its context
+	// error instead of being scheduled.
 	ctx context.Context
 
 	// Batch plumbing: a non-nil items marks a batch head occupying one
@@ -373,10 +346,17 @@ func (j *job) weight() int64 {
 	return 1
 }
 
-// getJob draws a job from the pool (or mints one with its done channel).
-func (f *Fleet) getJob() *job {
+// getJob draws a job from the pool (or mints one with its done channel) and
+// loads one admitted request into it.
+func (f *Fleet) getJob(ctx context.Context, req Request, now time.Time) *job {
 	j := f.jobPool.Get().(*job)
 	j.f = f
+	j.ctx = ctx
+	j.req = req
+	if j.req.Tenant == "" {
+		j.req.Tenant = "default"
+	}
+	j.enqueued = now
 	return j
 }
 
@@ -407,15 +387,10 @@ func New(cfg Config) *Fleet {
 		cache:  newPlacementCache(cfg.CacheSize),
 		models: newSharedModelCache(cfg.ModelCacheSize),
 	}
-	per := (cfg.QueueDepth + cfg.QueueShards - 1) / cfg.QueueShards
-	f.queues = make([]chan *job, cfg.QueueShards)
-	for i := range f.queues {
-		f.queues[i] = make(chan *job, per)
-	}
-	f.qcap = per * cfg.QueueShards
+	f.queue = make(chan *job, cfg.QueueDepth)
 	f.jobPool.New = func() any { return &job{done: make(chan *Response, 1)} }
 	reg := cfg.Metrics.Obs()
-	f.overflowLabels = newTenantLabels(reg, "other")
+	f.labels = obs.NewTenantSet(func(tenant string) *tenantLabels { return newTenantLabels(reg, tenant) })
 	f.stages = obs.NewStageSet(reg, "fleet_stage_seconds")
 	f.latency = reg.Histogram("fleet_request_latency_s")
 	f.slow = obs.NewSlowRing(cfg.SlowRingSize, cfg.SlowThreshold, f.latency)
@@ -507,83 +482,90 @@ func (f *Fleet) Stats() Stats {
 	}
 }
 
-// shardFor hashes (tenant, app name) — FNV-1a, no allocation — onto a home
-// shard. The same keys dominate the request fingerprint, so one tenant's hot
-// shape keeps landing on one worker's home shard: its digester scratch, pass
-// pool, and model-cache shard stay warm. The full app digest would be the
-// exact affinity key, but it is a sha256 pass the submitter should not pay;
-// the name is free and wrong only for same-named structurally distinct apps,
-// where affinity is a performance hint, not a correctness input.
-func (f *Fleet) shardFor(req *Request) int {
-	n := len(f.queues)
-	if n == 1 {
-		return 0
+// admit is the one admission path behind every entry point. It validates
+// reqs, loads each into a pooled job, and hands the jobs to the queue as one
+// unit: a single request, or with batch set a batch head that carries every
+// item in one slot. A full queue rejects at once unless block is set, in
+// which case admit waits for a slot until ctx (then non-nil) is cancelled.
+// Every rejection counts each request it refused. ctx may be nil (plain
+// Submit); otherwise it is checked first and remembered on every job.
+func (f *Fleet) admit(ctx context.Context, reqs []Request, batch, block bool) (<-chan *Response, error) {
+	if len(reqs) == 0 {
+		return nil, fmt.Errorf("fleet: empty batch")
 	}
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	for i := 0; i < len(req.Tenant); i++ {
-		h = (h ^ uint64(req.Tenant[i])) * fnvPrime
-	}
-	h = (h ^ '/') * fnvPrime
-	name := req.App.Name
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * fnvPrime
-	}
-	return int(h % uint64(n))
-}
-
-// tryEnqueue offers the job to its home shard, spilling over to siblings
-// when it is full: a request is only rejected when every shard is at
-// capacity, so the aggregate QueueDepth bound holds regardless of hash skew.
-// Must be called under f.mu.RLock with f.closed already checked.
-func (f *Fleet) tryEnqueue(j *job, home int) bool {
-	qs := f.queues
-	n := len(qs)
-	for i := 0; i < n; i++ {
-		select {
-		case qs[(home+i)%n] <- j:
-			f.queued.Add(j.weight())
-			return true
-		default:
+	for i := range reqs {
+		if reqs[i].App == nil {
+			if batch {
+				return nil, fmt.Errorf("fleet: batch request %d without app", i)
+			}
+			return nil, fmt.Errorf("fleet: request without app")
 		}
 	}
-	return false
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	now := time.Now()
+	j := f.getJob(ctx, reqs[0], now)
+	done := j.done
+	if batch {
+		j.items = make([]*job, len(reqs))
+		j.items[0] = j
+		for i := 1; i < len(reqs); i++ {
+			j.items[i] = f.getJob(ctx, reqs[i], now)
+		}
+		j.bdone = make(chan *Response, len(reqs))
+		done = j.bdone
+	}
+
+	// The read lock lets many submitters race each other but excludes
+	// Close, so a send can never hit a closed channel. Holding it across a
+	// blocking send is deadlock-free: workers drain the queue until Close
+	// closes it, and Close's write lock waits for this send (or
+	// cancellation) to release the read side.
+	n := int64(len(reqs))
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	err := ErrClosed
+	if !f.closed {
+		select {
+		case f.queue <- j:
+			err = nil
+		default:
+			err = ErrQueueFull
+			if block {
+				select {
+				case f.queue <- j:
+					err = nil
+				case <-ctx.Done():
+					err = ctx.Err()
+				}
+			}
+		}
+	}
+	if err != nil {
+		if j.items != nil {
+			for _, it := range j.items {
+				f.putJob(it)
+			}
+		} else {
+			f.putJob(j)
+		}
+		f.rejected.Add(n)
+		return nil, err
+	}
+	f.queued.Add(n)
+	f.submitted.Add(n)
+	f.inFlight.Add(n)
+	return done, nil
 }
 
 // Submit enqueues a request without blocking. The returned channel delivers
 // exactly one Response when the request completes. A full queue rejects the
 // request with ErrQueueFull; a closed fleet rejects with ErrClosed.
 func (f *Fleet) Submit(req Request) (<-chan *Response, error) {
-	if req.App == nil {
-		return nil, fmt.Errorf("fleet: request without app")
-	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
-	j := f.getJob()
-	j.req = req
-	j.enqueued = time.Now()
-
-	// The read lock lets many submitters race each other but excludes
-	// Close, so a send can never hit a closed channel.
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		f.putJob(j)
-		f.rejected.Add(1)
-		return nil, ErrClosed
-	}
-	if f.tryEnqueue(j, f.shardFor(&j.req)) {
-		f.submitted.Add(1)
-		f.inFlight.Add(1)
-		return j.done, nil
-	}
-	f.putJob(j)
-	f.rejected.Add(1)
-	return nil, ErrQueueFull
+	return f.admit(nil, []Request{req}, false, false)
 }
 
 // SubmitCtx enqueues a request, blocking on a full admission queue until
@@ -594,50 +576,7 @@ func (f *Fleet) Submit(req Request) (<-chan *Response, error) {
 // its request is still queued gets the context error back instead of paying
 // for a schedule.
 func (f *Fleet) SubmitCtx(ctx context.Context, req Request) (<-chan *Response, error) {
-	if req.App == nil {
-		return nil, fmt.Errorf("fleet: request without app")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
-	j := f.getJob()
-	j.req = req
-	j.enqueued = time.Now()
-	j.ctx = ctx
-
-	// Holding the read lock across the blocking send is deadlock-free:
-	// workers keep draining every shard until Close closes them, and
-	// Close's write lock cannot be acquired until this send (or
-	// cancellation) releases the read side — so the send always completes
-	// or cancels, and can never hit a closed channel. Blocking on the home
-	// shard alone is enough: work stealing guarantees it drains.
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		f.putJob(j)
-		f.rejected.Add(1)
-		return nil, ErrClosed
-	}
-	home := f.shardFor(&j.req)
-	if f.tryEnqueue(j, home) {
-		f.submitted.Add(1)
-		f.inFlight.Add(1)
-		return j.done, nil
-	}
-	select {
-	case f.queues[home] <- j:
-		f.queued.Add(1)
-		f.submitted.Add(1)
-		f.inFlight.Add(1)
-		return j.done, nil
-	case <-ctx.Done():
-		f.putJob(j)
-		f.rejected.Add(1)
-		return nil, ctx.Err()
-	}
+	return f.admit(ctx, []Request{req}, false, true)
 }
 
 // TrySubmitCtx enqueues a request without blocking — Submit's immediate
@@ -647,37 +586,7 @@ func (f *Fleet) SubmitCtx(ctx context.Context, req Request) (<-chan *Response, e
 // is the serving front-end's admission call: reject-fast on overload, but
 // never schedule for a caller that already hung up.
 func (f *Fleet) TrySubmitCtx(ctx context.Context, req Request) (<-chan *Response, error) {
-	if req.App == nil {
-		return nil, fmt.Errorf("fleet: request without app")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
-	j := f.getJob()
-	j.req = req
-	j.enqueued = time.Now()
-	j.ctx = ctx
-
-	// The read lock lets many submitters race each other but excludes
-	// Close, so a send can never hit a closed channel.
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		f.putJob(j)
-		f.rejected.Add(1)
-		return nil, ErrClosed
-	}
-	if f.tryEnqueue(j, f.shardFor(&j.req)) {
-		f.submitted.Add(1)
-		f.inFlight.Add(1)
-		return j.done, nil
-	}
-	f.putJob(j)
-	f.rejected.Add(1)
-	return nil, ErrQueueFull
+	return f.admit(ctx, []Request{req}, false, false)
 }
 
 // SubmitBatch admits a batch of requests as one unit: one queue handoff, one
@@ -686,70 +595,17 @@ func (f *Fleet) TrySubmitCtx(ctx context.Context, req Request) (<-chan *Response
 // returned channel delivers exactly len(reqs) responses in submission order,
 // each tagged with its Index; every response follows the Release contract.
 // Admission is all-or-nothing and non-blocking: the batch occupies a single
-// shard slot, and a fleet with no free slot rejects the whole batch with
+// queue slot, and a fleet with no free slot rejects the whole batch with
 // ErrQueueFull (counting len(reqs) rejections). The context, if non-nil,
 // covers every item the way TrySubmitCtx's does. The reqs slice itself is
 // not retained.
 func (f *Fleet) SubmitBatch(ctx context.Context, reqs []Request) (<-chan *Response, error) {
-	if len(reqs) == 0 {
-		return nil, fmt.Errorf("fleet: empty batch")
-	}
-	for i := range reqs {
-		if reqs[i].App == nil {
-			return nil, fmt.Errorf("fleet: batch request %d without app", i)
-		}
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	now := time.Now()
-	items := make([]*job, len(reqs))
-	for i, req := range reqs {
-		if req.Tenant == "" {
-			req.Tenant = "default"
-		}
-		it := f.getJob()
-		it.req = req
-		it.enqueued = now
-		it.ctx = ctx
-		items[i] = it
-	}
-	head := items[0]
-	head.items = items
-	head.bdone = make(chan *Response, len(reqs))
-
-	n := int64(len(reqs))
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		f.recycleBatch(items)
-		f.rejected.Add(n)
-		return nil, ErrClosed
-	}
-	if !f.tryEnqueue(head, f.shardFor(&head.req)) {
-		f.recycleBatch(items)
-		f.rejected.Add(n)
-		return nil, ErrQueueFull
-	}
-	f.submitted.Add(n)
-	f.inFlight.Add(n)
-	return head.bdone, nil
-}
-
-// recycleBatch returns a rejected batch's jobs to the pool (the head's batch
-// plumbing is cleared by putJob).
-func (f *Fleet) recycleBatch(items []*job) {
-	for _, it := range items {
-		f.putJob(it)
-	}
+	return f.admit(ctx, reqs, true, false)
 }
 
 // QueueLen returns the number of requests currently waiting in the admission
-// queues (not yet picked up by a worker), summed across shards; each batch
-// item counts as one request. Serving layers use it to derive Retry-After
-// hints.
+// queue (not yet picked up by a worker); each batch item counts as one
+// request. Serving layers use it to derive Retry-After hints.
 func (f *Fleet) QueueLen() int {
 	if n := f.queued.Load(); n > 0 {
 		return int(n)
@@ -759,12 +615,9 @@ func (f *Fleet) QueueLen() int {
 	return 0
 }
 
-// QueueCap returns the aggregate admission capacity across all shards
-// (QueueDepth rounded up to a multiple of QueueShards).
-func (f *Fleet) QueueCap() int { return f.qcap }
-
-// QueueShards returns the number of admission queue shards.
-func (f *Fleet) QueueShards() int { return len(f.queues) }
+// QueueCap returns the admission queue's capacity in slots
+// (Config.QueueDepth).
+func (f *Fleet) QueueCap() int { return cap(f.queue) }
 
 // Workers returns the scheduler/simulator pool size.
 func (f *Fleet) Workers() int { return f.cfg.Workers }
@@ -793,9 +646,7 @@ func (f *Fleet) Close() {
 		return
 	}
 	f.closed = true
-	for _, q := range f.queues {
-		close(q)
-	}
+	close(f.queue)
 	f.mu.Unlock()
 	f.wg.Wait()
 }
@@ -814,12 +665,6 @@ type workerState struct {
 	// shard is this worker's obs shard index: each worker records its
 	// counters and histogram observations on its own cache line.
 	shard int
-	// home is the admission queue shard this worker drains first; siblings
-	// are stolen from only when it is empty, preserving the submit-side
-	// tenant affinity. selCases is the prebuilt blocking-select set over
-	// every shard (nil with one shard), used only when all shards are empty.
-	home     int
-	selCases []reflect.SelectCase
 	// batchApp/batchDigest memoize the app digest across one batch's items
 	// (valid only while inBatch): consecutive items sharing an *dag.App
 	// pointer pay the sha256 pass once.
@@ -966,18 +811,7 @@ func (f *Fleet) worker(i int) {
 	w.ownDigest = w.clusterDigest
 	w.effCluster = cluster
 	w.adopt(f, f.churn.Load())
-	w.home = i % len(f.queues)
-	if len(f.queues) > 1 {
-		w.selCases = make([]reflect.SelectCase, len(f.queues))
-		for k, q := range f.queues {
-			w.selCases[k] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(q)}
-		}
-	}
-	for {
-		j := f.dequeue(w)
-		if j == nil {
-			return
-		}
+	for j := range f.queue {
 		f.queued.Add(-j.weight())
 		if j.items != nil {
 			f.processBatch(w, j)
@@ -985,49 +819,6 @@ func (f *Fleet) worker(i int) {
 		}
 		resp := f.process(w, j)
 		f.deliver(w, j.done, resp)
-	}
-}
-
-// dequeue returns the next job for the worker, or nil when the fleet is
-// closed and fully drained. The worker scans its home shard first and then
-// steals from siblings (non-blocking), so submit-side affinity holds under
-// load but a single hot shard fans out across the whole pool. When every
-// shard is empty it blocks on all of them at once — a reflect.Select on the
-// idle path only, where its allocations cost nothing that matters.
-func (f *Fleet) dequeue(w *workerState) *job {
-	qs := f.queues
-	n := len(qs)
-	if n == 1 {
-		j, ok := <-qs[0]
-		if !ok {
-			return nil
-		}
-		return j
-	}
-	for {
-		sawClosed := false
-		for i := 0; i < n; i++ {
-			select {
-			case j, ok := <-qs[(w.home+i)%n]:
-				if ok {
-					return j
-				}
-				sawClosed = true
-			default:
-			}
-		}
-		if sawClosed {
-			// Channels close only in Close, after f.closed stopped all
-			// admission — so every send happened before the close we just
-			// observed, and a scan that found nothing means every shard is
-			// drained for good.
-			return nil
-		}
-		if _, recv, ok := reflect.Select(w.selCases); ok {
-			return recv.Interface().(*job)
-		}
-		// A shard closed while we were blocked: rescan to drain stragglers
-		// from the other shards before exiting.
 	}
 }
 
@@ -1368,12 +1159,6 @@ type tenantLabels struct {
 	energy    *obs.Histogram
 }
 
-// tenantLabelCap bounds the interned label set: past it, new tenants record
-// under the shared tenant="other" instruments, so a submitter churning
-// through unbounded tenant names cannot grow worker memory — or the backing
-// registry, which interns instrument names forever — without bound.
-const tenantLabelCap = 1024
-
 // newTenantLabels interns one tenant's instrument set in the registry.
 func newTenantLabels(reg *obs.Registry, tenant string) *tenantLabels {
 	return &tenantLabels{
@@ -1387,27 +1172,10 @@ func newTenantLabels(reg *obs.Registry, tenant string) *tenantLabels {
 	}
 }
 
-// labelsFor returns the tenant's resolved instrument handles. The cap check
-// precedes any registry interning: the registry has no eviction, so a
-// not-yet-interned tenant past the cap must not mint new instrument names.
-func (f *Fleet) labelsFor(tenant string) *tenantLabels {
-	if v, ok := f.labels.Load(tenant); ok {
-		return v.(*tenantLabels)
-	}
-	if f.labelCount.Load() >= tenantLabelCap {
-		return f.overflowLabels
-	}
-	v, loaded := f.labels.LoadOrStore(tenant, newTenantLabels(f.cfg.Metrics.Obs(), tenant))
-	if !loaded {
-		f.labelCount.Add(1)
-	}
-	return v.(*tenantLabels)
-}
-
 // observe folds one response into the per-tenant aggregates on the worker's
 // own shard.
 func (f *Fleet) observe(shard int, resp *Response) {
-	l := f.labelsFor(resp.Tenant)
+	l := f.labels.Get(resp.Tenant)
 	if resp.Err != nil {
 		l.failed.AddAt(shard, 1)
 		return

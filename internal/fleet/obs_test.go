@@ -44,7 +44,7 @@ func TestWarmRequestInstrumentationAllocationFree(t *testing.T) {
 
 // TestTenantLabelOverflowBounded pins the bounded-memory guarantee of the
 // per-tenant aggregates: the registry interns instrument names forever, so
-// past tenantLabelCap unseen tenants must share the fixed tenant="other"
+// past obs.TenantCap unseen tenants must share the fixed tenant="other"
 // instruments instead of minting seven new registry entries per name.
 func TestTenantLabelOverflowBounded(t *testing.T) {
 	f := testFleet(t, Config{Workers: 1})
@@ -52,18 +52,18 @@ func TestTenantLabelOverflowBounded(t *testing.T) {
 	baseCounters := len(reg.CounterNames())
 	baseHists := len(reg.HistogramNames())
 	const extra = 64
-	for i := 0; i < tenantLabelCap+extra; i++ {
-		f.labelsFor(fmt.Sprintf("tenant-%d", i)).completed.Add(1)
+	for i := 0; i < obs.TenantCap+extra; i++ {
+		f.labels.Get(fmt.Sprintf("tenant-%d", i)).completed.Add(1)
 	}
 	// 3 counters + 4 histograms per interned tenant; the overflow set was
 	// already interned at construction, so nothing else may have grown.
-	if got, want := len(reg.CounterNames()), baseCounters+3*tenantLabelCap; got != want {
+	if got, want := len(reg.CounterNames()), baseCounters+3*obs.TenantCap; got != want {
 		t.Fatalf("registry holds %d counters after tenant churn, want %d", got, want)
 	}
-	if got, want := len(reg.HistogramNames()), baseHists+4*tenantLabelCap; got != want {
+	if got, want := len(reg.HistogramNames()), baseHists+4*obs.TenantCap; got != want {
 		t.Fatalf("registry holds %d histograms after tenant churn, want %d", got, want)
 	}
-	if l := f.labelsFor("one-more-fresh-tenant"); l != f.overflowLabels {
+	if l := f.labels.Get("one-more-fresh-tenant"); l != f.labels.Overflow() {
 		t.Fatal("past-cap tenant did not get the shared overflow labels")
 	}
 	c, ok := reg.LookupCounter("fleet_completed{tenant=other}")

@@ -289,7 +289,15 @@ func TestFleetCompilesClusterOnce(t *testing.T) {
 	}
 	wg.Wait()
 
+	// Workers resolve their cluster table when their goroutine starts, and
+	// one that was never scheduled (its siblings drained every request) has
+	// not counted its hit yet: wait for every worker to have resolved.
+	deadline := time.Now().Add(5 * time.Second)
 	s := f.Stats().ModelCache
+	for s.ClusterMisses+s.ClusterHits < workers && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		s = f.Stats().ModelCache
+	}
 	if s.ClusterCompiles != 1 {
 		t.Errorf("%d cluster-table compilations across %d workers, want 1 (stats: %+v)",
 			s.ClusterCompiles, workers, s)

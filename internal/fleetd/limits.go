@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"deep/internal/obs"
 )
 
 // tenantGate is one tenant's admission state: a token bucket for sustained
@@ -41,12 +43,6 @@ func (g *tenantGate) takeTokens(now time.Time, rate, burst, n float64) (bool, ti
 	return false, time.Duration((n - g.tokens) / rate * float64(time.Second))
 }
 
-// tenantGateCap bounds the per-tenant gate map, mirroring the fleet's tenant
-// label interning: past the cap, new tenant names share one overflow gate, so
-// a submitter churning through unbounded tenant names cannot grow server
-// memory (it only throttles itself harder).
-const tenantGateCap = 1024
-
 // limiter applies per-tenant token-bucket rate limits and in-flight
 // concurrency quotas. Zero rate disables rate limiting; zero maxInFlight
 // disables the quota.
@@ -76,13 +72,15 @@ func newLimiter(rate float64, burst int, maxInFlight int) *limiter {
 	}
 }
 
-// gate returns the tenant's admission gate, interning up to tenantGateCap.
+// gate returns the tenant's admission gate, interning up to obs.TenantCap;
+// past the cap, new tenant names share one overflow gate, so a client
+// churning through tenant names only throttles itself harder.
 func (l *limiter) gate(tenant string) *tenantGate {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	g, ok := l.gates[tenant]
 	if !ok {
-		if len(l.gates) >= tenantGateCap {
+		if len(l.gates) >= obs.TenantCap {
 			return &l.overflow
 		}
 		g = &tenantGate{}

@@ -90,12 +90,8 @@ type Server struct {
 	// Retry-After hints for queue-full and quota rejections derive from it.
 	ewmaNS atomic.Int64
 
-	// labels interns per-tenant HTTP counters, bounded by tenantGateCap;
-	// past the cap, unseen tenants share the fixed overflow set so neither
-	// this map nor the registry grows with tenant-name churn.
-	labels     sync.Map
-	labelCount atomic.Int64
-	overflow   *httpLabels
+	// labels interns per-tenant HTTP counters, bounded by obs.TenantCap.
+	labels *obs.TenantSet[*httpLabels]
 
 	clusterJSON []byte
 }
@@ -116,7 +112,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, drainCh: make(chan struct{})}
 	s.lim = newLimiter(cfg.RatePerSec, cfg.Burst, cfg.MaxInFlight)
-	s.overflow = newHTTPLabels(cfg.Registry, "other")
+	s.labels = obs.NewTenantSet(func(tenant string) *httpLabels { return newHTTPLabels(cfg.Registry, tenant) })
 	if cfg.Cluster != nil {
 		spec, err := wire.ClusterSpecOf(cfg.Cluster)
 		if err != nil {
@@ -287,7 +283,7 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		// Tenant is unknown before the body is read; shed under the default
 		// label rather than paying a decode for a request we will not serve.
-		s.labelsFor("default").shed.Add(1)
+		s.labels.Get("default").shed.Add(1)
 		writeError(w, http.StatusServiceUnavailable, codeDraining, "server is draining", 0)
 		return
 	}
@@ -329,11 +325,11 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		tenant = "default"
 	}
 
-	// Admission runs before labelsFor: a rejected request must not be the
+	// Admission runs before labels.Get: a rejected request must not be the
 	// thing that interns a new tenant's counters.
 	release, code, retry := s.lim.admit(tenant, time.Now(), s.serviceEstimate(1))
 	if release == nil {
-		s.labelsFor(tenant).rejected.Add(1)
+		s.labels.Get(tenant).rejected.Add(1)
 		msg := "per-tenant rate limit exceeded"
 		if code == codeQuotaExceeded {
 			msg = "per-tenant in-flight quota exceeded"
@@ -342,7 +338,7 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	labels := s.labelsFor(tenant)
+	labels := s.labels.Get(tenant)
 
 	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
 	if deadline <= 0 || deadline > s.cfg.MaxDeadline {
@@ -447,7 +443,7 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.draining.Load() {
-		s.labelsFor("default").shed.Add(1)
+		s.labels.Get("default").shed.Add(1)
 		writeError(w, http.StatusServiceUnavailable, codeDraining, "server is draining", 0)
 		return
 	}
@@ -521,7 +517,7 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 	// One admission check for the whole batch: n in-flight slots, n tokens.
 	release, code, retry := s.lim.admitN(tenant, time.Now(), n, s.serviceEstimate(n))
 	if release == nil {
-		s.labelsFor(tenant).rejected.Add(float64(n))
+		s.labels.Get(tenant).rejected.Add(float64(n))
 		msg := "per-tenant rate limit exceeded"
 		if code == codeQuotaExceeded {
 			msg = "per-tenant in-flight quota exceeded"
@@ -530,7 +526,7 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	labels := s.labelsFor(tenant)
+	labels := s.labels.Get(tenant)
 
 	// The shared context rides the batch's longest per-item deadline; items
 	// with shorter budgets are answered individually with ErrDeadline.
@@ -728,25 +724,6 @@ func newHTTPLabels(reg *obs.Registry, tenant string) *httpLabels {
 		shed:     reg.Counter("fleetd_http_shed{tenant=" + tenant + "}"),
 		drained:  reg.Counter("fleetd_http_drained{tenant=" + tenant + "}"),
 	}
-}
-
-// labelsFor returns one tenant's HTTP counters, bounded like the fleet's
-// tenant labels. The cap check precedes any Registry.Counter call: the
-// registry interns forever (no eviction), so past the cap unseen tenants
-// record under the shared tenant="other" set rather than minting four new
-// registry entries per hostile tenant name.
-func (s *Server) labelsFor(tenant string) *httpLabels {
-	if v, ok := s.labels.Load(tenant); ok {
-		return v.(*httpLabels)
-	}
-	if s.labelCount.Load() >= tenantGateCap {
-		return s.overflow
-	}
-	v, loaded := s.labels.LoadOrStore(tenant, newHTTPLabels(s.cfg.Registry, tenant))
-	if !loaded {
-		s.labelCount.Add(1)
-	}
-	return v.(*httpLabels)
 }
 
 // writeError renders the structured error envelope, with Retry-After (whole

@@ -527,7 +527,7 @@ func TestAdminSplit(t *testing.T) {
 
 // TestTenantLabelOverflowBounded pins the bounded-memory guarantee of the
 // per-tenant HTTP counters: the registry interns instrument names forever,
-// so past tenantGateCap unseen tenants must share the fixed tenant="other"
+// so past obs.TenantCap unseen tenants must share the fixed tenant="other"
 // set instead of minting four new registry entries per hostile name.
 func TestTenantLabelOverflowBounded(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -536,15 +536,15 @@ func TestTenantLabelOverflowBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	const extra = 256
-	for i := 0; i < tenantGateCap+extra; i++ {
-		s.labelsFor(fmt.Sprintf("tenant-%d", i)).accepted.Add(1)
+	for i := 0; i < obs.TenantCap+extra; i++ {
+		s.labels.Get(fmt.Sprintf("tenant-%d", i)).accepted.Add(1)
 	}
 	// 4 counters per interned tenant, plus the 4 shared overflow counters.
-	want := 4*tenantGateCap + 4
+	want := 4*obs.TenantCap + 4
 	if got := len(reg.CounterNames()); got != want {
 		t.Fatalf("registry holds %d counters after tenant churn, want %d", got, want)
 	}
-	if l := s.labelsFor("one-more-fresh-tenant"); l != s.overflow {
+	if l := s.labels.Get("one-more-fresh-tenant"); l != s.labels.Overflow() {
 		t.Fatal("past-cap tenant did not get the shared overflow labels")
 	}
 	c, ok := reg.LookupCounter("fleetd_http_accepted{tenant=other}")
